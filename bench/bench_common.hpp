@@ -8,8 +8,6 @@
 //   --seed S          root seed (default kDefaultSeed)
 //   --threads T       worker count (0 = hardware concurrency); the output
 //                     is byte-identical for any T at a fixed seed
-//   --shards K        within-trial DES shard count (default 1); det_*
-//                     series are byte-identical for any K
 //   --json PATH       write the machine-readable BENCH_<experiment>.json
 //   --telemetry PATH  JSONL snapshot export (unchanged trace schema)
 //   --sample-period M periodic gauge sampling every M ms of sim time in
@@ -186,11 +184,6 @@ class Runner {
           options_.seed = int_value(argc, argv, i);
         } else if (arg == "--threads") {
           options_.threads = static_cast<int>(int_value(argc, argv, i));
-        } else if (arg == "--shards") {
-          options_.shards = static_cast<int>(int_value(argc, argv, i));
-          if (options_.shards < 1) {
-            throw std::invalid_argument("--shards needs a positive integer");
-          }
         } else if (arg == "--json") {
           if (i + 1 >= argc) {
             throw std::invalid_argument("--json needs a file path");
@@ -239,8 +232,6 @@ class Runner {
            "  --seed S          root seed (default " << kDefaultSeed << ")\n"
            "  --threads T       worker threads, 0 = hardware concurrency;\n"
            "                    results are identical for any T\n"
-           "  --shards K        within-trial DES shards (default 1); det_*\n"
-           "                    series are identical for any K\n"
            "  --json PATH       write machine-readable results (schema "
         << eval::kBenchJsonSchema << ")\n"
            "  --telemetry PATH  write JSONL trace snapshots\n"

@@ -6,19 +6,19 @@
 // sizes, Poisson join/leave churn, sources drawn from the transit core so
 // sessions share the oracle's SPF snapshots, and session i's entire
 // random stream derived from trial_seed(tier seed, i) so the deterministic
-// aggregates are byte-identical for any --shards value. The small/medium
+// aggregates are byte-identical for any --workers value. The small/medium
 // tiers run the full SMRP path-selection engine; the large tiers (100k
 // nodes, and the million-member scale1m point) use the SPF baseline
 // engine, whose O(path) joins make session count — not per-join search —
 // the measured variable. EXPERIMENTS.md records the tier rationale.
 //
 // Per tier the bench emits three kinds of series:
-//   <tier>/det_*        bit-deterministic at a fixed seed for ANY shard
+//   <tier>/det_*        bit-deterministic at a fixed seed for ANY worker
 //                       count (members, links, joins) — CI regression-
 //                       gates these exactly via bench_diff --series
-//                       '*/det_*', including a shards=1 vs shards=4 diff;
+//                       '*/det_*', including a workers=1 vs workers=4 diff;
 //   <tier>/oracle_hit_pct, <tier>/oracle_full_runs
-//                       the lookup total is deterministic for any shard
+//                       the lookup total is deterministic for any worker
 //                       count (the workers share ONE lock-striped oracle,
 //                       DESIGN.md §16), but the hit/full-run split can
 //                       move with thread scheduling, so these are
@@ -27,22 +27,25 @@
 //                       compute once, so it is bounded by the distinct
 //                       (source, exclusion) keys — not by K × keys as
 //                       the old per-worker-private caches were;
-//   <tier>/joins_per_sec, <tier>/wall_s, <tier>/peak_rss_mb,
-//   <tier>/shard_gain   machine-dependent throughput / footprint.
-//                       shard_gain (only with --shards > 1) is the
-//                       sequential wall over the sharded wall for the
-//                       same tier — the within-trial parallel payoff.
+//   <tier>/joins_per_sec, <tier>/wall_s, <tier>/peak_rss_mb
+//                       machine-dependent throughput / footprint. The
+//                       worker gain is the wall_s ratio of two separate
+//                       runs (--workers 1 and --workers K), so each run's
+//                       peak RSS holds its own sessions only.
 //                       peak_rss is the process VmHWM after the tier's
 //                       sessions are built and still resident, so it is
 //                       monotone across tiers (tiers run smallest-first);
 //                       where getrusage cannot report it the series is
 //                       omitted with a warning instead of recording 0.
 //
+// `--workers K` deals each tier's sessions to K threads (default 1).
 // `--smoke` swaps in reduced tiers for CI; the committed
 // BENCH_scale-smoke.json is regenerated and diffed there, while
 // BENCH_scale.json archives a full-profile run.
 #include <chrono>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <sys/resource.h>
@@ -136,14 +139,28 @@ std::vector<Tier> smoke_tiers() {
 int main(int argc, char** argv) {
   using namespace smrp;
 
-  // This binary owns --smoke; strip it before the Runner sees argv so the
-  // shared flag surface stays intact.
+  // This binary owns --smoke and --workers; strip them before the Runner
+  // sees argv so the shared flag surface stays intact.
   bool smoke = false;
+  int workers = 1;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
+      continue;
+    }
+    if (arg == "--workers") {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      char* end = nullptr;
+      const long k = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || k < 1 ||
+          k > std::numeric_limits<int>::max()) {
+        std::cerr << argv[0] << ": --workers needs a positive integer\n";
+        return 2;
+      }
+      workers = static_cast<int>(k);
       continue;
     }
     args.push_back(argv[i]);
@@ -155,7 +172,7 @@ int main(int argc, char** argv) {
                        "over one shared routing oracle",
                        /*default_trials=*/1);
   const std::vector<Tier> tiers = smoke ? smoke_tiers() : full_tiers();
-  runner.config().set("shards", runner.options().shards);
+  runner.config().set("workers", workers);
   for (const Tier& tier : tiers) {
     const int nodes = tier.topo.transit_nodes +
                       tier.topo.transit_nodes * tier.topo.stubs_per_transit *
@@ -191,23 +208,8 @@ int main(int argc, char** argv) {
                   static_cast<std::ptrdiff_t>(
                       topo.nodes_of_domain[net::kTransitDomain].size())));
 
-      // The sequential reference for shard_gain: same tier, same seed,
-      // one shard. Only run when sharding is on — it doubles tier cost.
-      double seq_secs = 0.0;
-      if (ctx.shards > 1) {
-        eval::MultiSessionParams seq_params = tier.sessions;
-        seq_params.shards = 1;
-        eval::MultiSessionDriver seq_driver(topo.graph, seq_params);
-        const auto s0 = std::chrono::steady_clock::now();
-        const eval::MultiSessionReport seq_report =
-            seq_driver.run_seeded(tier_seed, pool);
-        const auto s1 = std::chrono::steady_clock::now();
-        seq_secs = std::chrono::duration<double>(s1 - s0).count();
-        static_cast<void>(seq_report);
-      }
-
       eval::MultiSessionParams params = tier.sessions;
-      params.shards = ctx.shards;
+      params.shards = workers;
       eval::MultiSessionDriver driver(topo.graph, params);
       const auto t0 = std::chrono::steady_clock::now();
       const eval::MultiSessionReport report =
@@ -232,9 +234,6 @@ int main(int argc, char** argv) {
       rec.add(prefix + "/joins_per_sec",
               secs > 0.0 ? static_cast<double>(report.join_ops) / secs : 0.0);
       rec.add(prefix + "/wall_s", secs);
-      if (ctx.shards > 1 && secs > 0.0) {
-        rec.add(prefix + "/shard_gain", seq_secs / secs);
-      }
       if (const std::optional<double> rss = peak_rss_mb()) {
         rec.add(prefix + "/peak_rss_mb", *rss);
       } else if (!warned_rss) {
@@ -249,12 +248,11 @@ int main(int argc, char** argv) {
 
   // Human-readable tier table from the recorded series.
   eval::Table table({"tier", "members", "tree links", "joins",
-                     "oracle hit %", "full runs", "joins/s", "wall s", "gain",
+                     "oracle hit %", "full runs", "joins/s", "wall s",
                      "peak RSS MiB"});
   for (const Tier& tier : tiers) {
     const std::string p = tier.name;
     const eval::Summary rss = res.summary(p + "/peak_rss_mb");
-    const eval::Summary gain = res.summary(p + "/shard_gain");
     table.add_row({p, eval::Table::fixed(res.summary(p + "/det_members").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_tree_links").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_joins").mean, 0),
@@ -264,7 +262,6 @@ int main(int argc, char** argv) {
                        res.summary(p + "/oracle_full_runs").mean, 0),
                    eval::Table::fixed(res.summary(p + "/joins_per_sec").mean, 0),
                    eval::Table::fixed(res.summary(p + "/wall_s").mean, 2),
-                   gain.count > 0 ? eval::Table::fixed(gain.mean, 2) : "-",
                    rss.count > 0 ? eval::Table::fixed(rss.mean, 1) : "n/a"});
   }
   std::cout << "\n" << table.render() << "\n";

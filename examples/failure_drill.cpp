@@ -5,13 +5,15 @@
 //
 //   $ ./build/examples/failure_drill            # timeline only
 //   $ ./build/examples/failure_drill --trace    # plus the control-plane
-//                                               # messages around the cut
+//                                               # messages since the cut,
+//                                               # from telemetry counters
 #include <cstring>
 #include <iostream>
+#include <string_view>
 
 #include "eval/table.hpp"
 #include "net/waxman.hpp"
-#include "sim/trace.hpp"
+#include "obs/telemetry.hpp"
 #include "smrp/harness.hpp"
 
 int main(int argc, char** argv) {
@@ -68,9 +70,10 @@ int main(int argc, char** argv) {
   std::cout << "t=2000ms: cutting link " << g.link(victim).a << "-"
             << g.link(victim).b << " (disconnects " << worst
             << " member(s))\n";
-  // Capture the control-plane chatter around the cut.
-  sim::Tracer tracer(512);
-  if (want_trace) h.network().set_tracer(&tracer);
+  // Count the control-plane chatter from the cut on: the network's
+  // smrp.sim.{tx,rx,drop}.<MSG> counters start at zero here.
+  obs::Telemetry telemetry;
+  if (want_trace) h.network().set_telemetry(&telemetry);
   h.network().set_link_up(victim, false);
   const sim::Time fail_at = h.simulator().now();
 
@@ -105,15 +108,22 @@ int main(int argc, char** argv) {
   std::cout << "repairs started: " << h.session().repairs_started()
             << ", completed: " << h.session().repairs_completed() << "\n";
   if (want_trace) {
-    h.network().set_tracer(nullptr);
-    std::cout << "\nrepair control traffic (sampled):\n  REPAIR_QUERY sent: "
-              << tracer.count_retained("REPAIR_QUERY", sim::TraceKind::kSend)
+    h.network().set_telemetry(nullptr);
+    auto& metrics = telemetry.metrics;
+    std::uint64_t drops = 0;
+    for (const auto& [name, counter] : metrics.counters()) {
+      if (std::string_view(name).starts_with("smrp.sim.drop.")) {
+        drops += counter.value();
+      }
+    }
+    std::cout << "\nrepair control traffic since the cut (telemetry):\n"
+              << "  REPAIR_QUERY sent: "
+              << metrics.counter("smrp.sim.tx.REPAIR_QUERY").value()
               << "\n  REPAIR_RESP sent:  "
-              << tracer.count_retained("REPAIR_RESP", sim::TraceKind::kSend)
+              << metrics.counter("smrp.sim.tx.REPAIR_RESP").value()
               << "\n  JOIN_REQ sent:     "
-              << tracer.count_retained("JOIN_REQ", sim::TraceKind::kSend)
-              << "\n  drops:             "
-              << tracer.count(sim::TraceKind::kDrop) << "\n";
+              << metrics.counter("smrp.sim.tx.JOIN_REQ").value()
+              << "\n  drops:             " << drops << "\n";
   }
 
   const auto after = h.session().snapshot_tree();

@@ -86,7 +86,6 @@ class TrialRecorder {
 struct TrialContext {
   int trial = 0;           ///< 0-based trial index
   std::uint64_t seed = 0;  ///< trial_seed(bench_seed, trial)
-  int shards = 1;          ///< EngineOptions::shards, for within-trial DES
   TrialRecorder& recorder;
 };
 
@@ -97,13 +96,6 @@ struct EngineOptions {
   /// pool never outnumbers the trials, and `threads == 1` runs inline on
   /// the calling thread.
   int threads = 0;
-  /// Within-trial shard count handed to trial bodies (DESIGN.md §15,
-  /// §16): bodies that build a ShardedSimulator / sharded
-  /// MultiSessionDriver read it off their TrialContext (the driver's
-  /// workers all share one lock-striped RoutingOracle, so this scales
-  /// threads, not caches). Purely advisory plumbing — the engine itself
-  /// neither spawns nor limits shard workers.
-  int shards = 1;
   bool collect_telemetry = false;
   /// Periodic gauge-sampling period (ms) applied to every telemetry
   /// bundle a trial creates; 0 (the default) leaves sampling off.

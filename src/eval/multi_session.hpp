@@ -57,7 +57,7 @@ struct MultiSessionParams {
   double churn_events_per_session = 4.0;
   SessionEngine engine = SessionEngine::kSmrp;
   proto::SmrpConfig smrp{};
-  /// Shard workers for run_seeded() (DESIGN.md §15, §16): sessions are
+  /// Worker threads for run_seeded() (DESIGN.md §15, §16): sessions are
   /// dealt round-robin to this many workers, all routing through the
   /// driver's ONE lock-striped RoutingOracle. Session outcomes derive
   /// only from per-session RNG streams and the (deterministic) oracle

@@ -140,13 +140,6 @@ class MetricsRegistry {
   /// Fold another run's registry into this one, instrument by instrument.
   void merge(const MetricsRegistry& other);
 
-  /// Fold one shard's registry into this (facade) one, DESIGN.md §15:
-  /// counters and histograms are additive and merge under their own
-  /// names, but gauges are last-value instruments whose per-shard
-  /// identity matters (pool occupancy, queue depth), so each arrives as
-  /// `<name>.shard<k>` instead of clobbering its siblings.
-  void merge_sharded(const MetricsRegistry& other, int shard);
-
   [[nodiscard]] const std::map<std::string, Counter>& counters()
       const noexcept {
     return counters_;

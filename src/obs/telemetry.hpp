@@ -16,7 +16,6 @@
 // armed sampler cannot perturb a seeded run.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -67,26 +66,6 @@ struct Telemetry {
 
   [[nodiscard]] const std::vector<Sample>& samples() const noexcept {
     return samples_;
-  }
-
-  /// Fold one shard's bundle into this (facade) bundle at the end of a
-  /// sharded run (DESIGN.md §15): metrics merge via merge_sharded (gauges
-  /// arrive as `<name>.shard<k>`), and the shard's gauge samples append
-  /// with the same renaming, the whole stream re-sorted by time so the
-  /// export stays chronological. Spans and events are not touched — the
-  /// sharded DES layers emit none, and protocol-level collectors attach
-  /// to the facade bundle directly.
-  void absorb_shard(const Telemetry& other, int shard) {
-    metrics.merge_sharded(other.metrics, shard);
-    if (other.samples_.empty()) return;
-    const std::string suffix = ".shard" + std::to_string(shard);
-    samples_.reserve(samples_.size() + other.samples_.size());
-    for (const Sample& s : other.samples_) {
-      samples_.push_back(Sample{s.t, s.name + suffix, s.value});
-    }
-    std::stable_sort(
-        samples_.begin(), samples_.end(),
-        [](const Sample& a, const Sample& b) { return a.t < b.t; });
   }
 
   /// End-of-run flush: close anything still open so every exported span

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -101,5 +102,9 @@ using Message =
     std::variant<HelloMsg, LsaMsg, JoinReqMsg, JoinAckMsg, LeaveReqMsg,
                  StateRefreshMsg, ShrUpdateMsg, DataMsg, RepairQueryMsg,
                  RepairRespMsg>;
+
+/// Upper-case tag of a wire message ("HELLO", "REPAIR_QUERY", ...): the
+/// <MSG> suffix of the `smrp.sim.{tx,rx,drop}.<MSG>` telemetry counters.
+[[nodiscard]] std::string_view message_name(const Message& message);
 
 }  // namespace smrp::sim

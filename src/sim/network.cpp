@@ -1,6 +1,5 @@
 #include "sim/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -52,18 +51,10 @@ void SimNetwork::set_telemetry(obs::Telemetry* telemetry) {
       &telemetry->metrics.gauge("smrp.sim.pool_envelopes_free");
 }
 
-void SimNetwork::count_message(TraceKind kind, const Message& message) noexcept {
+void SimNetwork::count_message(Outcome outcome,
+                               const Message& message) noexcept {
   if (telemetry_ == nullptr) return;
-  msg_counters_[static_cast<std::size_t>(kind)][message.index()]->add(1);
-}
-
-void SimNetwork::trace(TraceKind kind, NodeId from, NodeId to,
-                       const Message& message) {
-  count_message(kind, message);
-  if (tracer_ != nullptr) {
-    tracer_->record(
-        TraceEvent{simulator_->now(), kind, from, to, message_name(message)});
-  }
+  msg_counters_[outcome][message.index()]->add(1);
 }
 
 SimNetwork::SimNetwork(Simulator& simulator, const net::Graph& graph,
@@ -134,12 +125,12 @@ void SimNetwork::deliver(std::uint32_t envelope, NodeId to, LinkId link) {
   if (!link_up(link) || !node_up(from) || !node_up(to) ||
       !handlers_[static_cast<std::size_t>(to)]) {
     ++dropped_;
-    trace(TraceKind::kDrop, from, to, e.message);
+    count_message(kDrop, e.message);
     release_envelope(envelope);
     return;
   }
   ++delivered_;
-  trace(TraceKind::kDeliver, from, to, e.message);
+  count_message(kRx, e.message);
   // The handler may send (and thus grow the pool) reentrantly; envelope
   // storage is a deque, so the payload reference it holds stays valid.
   handlers_[static_cast<std::size_t>(to)](from, e.message);
@@ -150,27 +141,15 @@ bool SimNetwork::send(NodeId from, NodeId to, Message message) {
   const auto link = graph_->link_between(from, to);
   if (!link || !node_up(from)) {
     ++dropped_;
-    trace(TraceKind::kDrop, from, to, message);
+    count_message(kDrop, message);
     return false;
   }
   ++sent_;
-  trace(TraceKind::kSend, from, to, message);
+  count_message(kTx, message);
   if (config_.loss_probability > 0.0 &&
       loss_rng_.uniform() < config_.loss_probability) {
     ++dropped_;  // transient loss: vanishes on the wire
-    trace(TraceKind::kDrop, from, to, message);
-    return true;
-  }
-  if (router_ != nullptr && router_->is_remote(shard_index_, to)) {
-    // Cross-shard hop: the destination's wheel belongs to another thread,
-    // so hand the (already tx-accounted) message to the router with its
-    // arrival time; the barrier drain schedules it over there.
-    if (hop_latency_hist_ != nullptr) {
-      hop_latency_hist_->record(link_latency(*link));
-    }
-    router_->enqueue(shard_index_, from, to, *link,
-                     simulator_->now() + link_latency(*link),
-                     std::move(message));
+    count_message(kDrop, message);
     return true;
   }
   const std::uint32_t envelope = acquire_envelope();
@@ -181,54 +160,23 @@ bool SimNetwork::send(NodeId from, NodeId to, Message message) {
   return true;
 }
 
-void SimNetwork::deliver_at(NodeId from, NodeId to, LinkId link, Time when,
-                            const Message& message) {
-  const std::uint32_t envelope = acquire_envelope();
-  Envelope& e = envelopes_[envelope];
-  e.message = message;
-  e.from = from;
-  if (pool_envelopes_gauge_ != nullptr) {
-    pool_envelopes_gauge_->set(static_cast<double>(envelopes_.size()));
-    pool_free_gauge_->set(static_cast<double>(free_envelopes_));
-  }
-  // Inside a run the conservative window bound guarantees `when` is ahead
-  // of this shard's clock. Sends issued *between* runs, though, carry the
-  // source shard's (possibly lagging) clock, so clamp to local now —
-  // "as soon as possible, never earlier than computed".
-  simulator_->schedule_at(std::max(when, simulator_->now()),
-                          [this, envelope, to, link] {
-    deliver(envelope, to, link);
-  });
-}
-
 int SimNetwork::broadcast(NodeId from, const Message& message) {
   if (!node_up(from)) {
     // A down node emits nothing: short-circuit the whole fan-out and
     // count one batch drop instead of one per neighbor.
     ++dropped_;
-    trace(TraceKind::kDrop, from, net::kNoNode, message);
+    count_message(kDrop, message);
     return 0;
   }
   std::uint32_t envelope = kNoEnvelope;
   int admitted = 0;
   for (const net::Adjacency& adj : graph_->neighbors(from)) {
     ++sent_;
-    trace(TraceKind::kSend, from, adj.neighbor, message);
+    count_message(kTx, message);
     if (config_.loss_probability > 0.0 &&
         loss_rng_.uniform() < config_.loss_probability) {
       ++dropped_;  // transient loss: vanishes on the wire
-      trace(TraceKind::kDrop, from, adj.neighbor, message);
-      continue;
-    }
-    if (router_ != nullptr && router_->is_remote(shard_index_, adj.neighbor)) {
-      // Envelope sharing stops at the shard boundary: remote hops copy
-      // into the router queue, local hops keep sharing one envelope.
-      if (hop_latency_hist_ != nullptr) {
-        hop_latency_hist_->record(link_latency(adj.link));
-      }
-      router_->enqueue(shard_index_, from, adj.neighbor, adj.link,
-                       simulator_->now() + link_latency(adj.link), message);
-      ++admitted;
+      count_message(kDrop, message);
       continue;
     }
     if (envelope == kNoEnvelope) {

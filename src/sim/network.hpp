@@ -20,7 +20,6 @@
 #include "net/rng.hpp"
 #include "sim/messages.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace smrp::sim {
 
@@ -34,24 +33,6 @@ struct NetworkConfig {
   double loss_probability = 0.0;
   /// Seed for the deterministic loss process.
   std::uint64_t loss_seed = 0x10551055ULL;
-};
-
-/// Cross-shard egress hook for the sharded mode (DESIGN.md §15). When a
-/// SimNetwork is one shard of a ShardedSimNetwork, sends whose destination
-/// another shard owns are handed to the router (with the precomputed
-/// arrival time) instead of being scheduled locally; the coordinator
-/// drains the queues at window barriers via deliver_at() on the owning
-/// shard's network.
-class CrossShardRouter {
- public:
-  virtual ~CrossShardRouter() = default;
-  /// True when `to` is owned by a shard other than `src_shard`.
-  [[nodiscard]] virtual bool is_remote(int src_shard,
-                                       NodeId to) const noexcept = 0;
-  /// Queue one cross-shard hop; `when` is the absolute arrival time
-  /// (send time + link latency, so ≥ window start + lookahead).
-  virtual void enqueue(int src_shard, NodeId from, NodeId to, LinkId link,
-                       Time when, const Message& message) = 0;
 };
 
 class SimNetwork {
@@ -96,31 +77,12 @@ class SimNetwork {
   /// Delivery latency for one hop over `link`.
   [[nodiscard]] Time link_latency(LinkId link) const;
 
-  /// Attach (or detach with nullptr) an event tracer; not owned.
-  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attach (or detach with nullptr) the cross-shard egress router; not
-  /// owned. `my_shard` is this network's shard index, passed back on every
-  /// router call so one router instance can serve all shards.
-  void set_cross_shard(CrossShardRouter* router, int my_shard) noexcept {
-    router_ = router;
-    shard_index_ = my_shard;
-  }
-
-  /// Ingress side of a cross-shard hop: materialise the message on this
-  /// (destination) shard and schedule its delivery at the absolute arrival
-  /// time the sender computed. Called by the sharded coordinator at window
-  /// barriers, in deterministic (when, src_shard, seq) order; the tx
-  /// accounting already happened on the sending shard.
-  void deliver_at(NodeId from, NodeId to, LinkId link, Time when,
-                  const Message& message);
-
   /// Attach (or detach with nullptr) the telemetry bundle; not owned.
   /// Maintains per-message-type tx/rx/drop counters in the registry
-  /// (`smrp.sim.{tx,rx,drop}.<MESSAGE>` — the registry-side home of the
-  /// counts the Tracer tallies), the per-hop latency distribution
-  /// `smrp.sim.hop_latency_ms`, and the envelope-pool gauges
-  /// `smrp.sim.pool_envelopes{,_free}`. Pure observation.
+  /// (`smrp.sim.{tx,rx,drop}.<MESSAGE>`, MESSAGE = message_name()), the
+  /// per-hop latency distribution `smrp.sim.hop_latency_ms`, and the
+  /// envelope-pool gauges `smrp.sim.pool_envelopes{,_free}`. Pure
+  /// observation.
   void set_telemetry(obs::Telemetry* telemetry);
 
   [[nodiscard]] std::uint64_t messages_sent() const noexcept { return sent_; }
@@ -164,8 +126,9 @@ class SimNetwork {
   /// counted by the caller).
   void deliver_later(std::uint32_t envelope, NodeId to, LinkId link);
   void deliver(std::uint32_t envelope, NodeId to, LinkId link);
-  void count_message(TraceKind kind, const Message& message) noexcept;
-  void trace(TraceKind kind, NodeId from, NodeId to, const Message& message);
+  /// Transmission outcomes, indexing the first axis of msg_counters_.
+  enum Outcome : std::size_t { kTx, kRx, kDrop };
+  void count_message(Outcome outcome, const Message& message) noexcept;
 
   Simulator* simulator_;
   const net::Graph* graph_;
@@ -174,16 +137,13 @@ class SimNetwork {
   std::vector<char> link_up_;
   std::vector<char> node_up_;
   net::Rng loss_rng_;
-  Tracer* tracer_ = nullptr;
-  CrossShardRouter* router_ = nullptr;
-  int shard_index_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::deque<Envelope> envelopes_;
   std::uint32_t free_envelope_head_ = kNoEnvelope;
   std::size_t free_envelopes_ = 0;
-  // Telemetry handles, cached at attach time: [kind][variant index].
+  // Telemetry handles, cached at attach time: [outcome][variant index].
   obs::Telemetry* telemetry_ = nullptr;
   std::array<std::array<obs::Counter*, kMessageTypes>, 3> msg_counters_{};
   obs::Histogram* hop_latency_hist_ = nullptr;

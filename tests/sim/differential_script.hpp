@@ -1,8 +1,7 @@
-// Shared randomized schedule/cancel/run script machinery for the event-core
-// differential suites: the sequential wheel vs the retained reference heap
-// (test_simulator_differential.cpp) and the sharded facade vs the
-// sequential wheel (test_sharded_sim.cpp) drive identical scripts through
-// both cores and require bit-identical outcomes.
+// Randomized schedule/cancel/run script machinery for the event-core
+// differential suite: the timing wheel and the retained reference heap
+// (test_simulator_differential.cpp) run identical scripts and must
+// produce bit-identical outcomes.
 //
 // The script generator leans on the wheel's weak spots on purpose:
 // simultaneous-time FIFO ties, delays dead on bucket boundaries, the
@@ -106,12 +105,6 @@ inline Script make_script(std::uint64_t seed, std::uint32_t min_events) {
 template <typename Sim>
 struct Driver {
   explicit Driver(const Script& s) : script(s) {
-    ids.assign(script.event_count, 0);
-  }
-
-  template <typename... Args>
-  explicit Driver(const Script& s, Args&&... args)
-      : script(s), sim(std::forward<Args>(args)...) {
     ids.assign(script.event_count, 0);
   }
 

@@ -15,7 +15,6 @@
 #include <new>
 
 #include "sim/network.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "testing_topologies.hpp"
 
@@ -140,76 +139,6 @@ TEST(AllocHook, MessageDispatchAndBroadcastAllocateNothing) {
       << "a dispatch closure overflowed the 64B SBO";
 #if SMRP_ALLOC_HOOK_ACTIVE
   EXPECT_EQ(after - before, 0u) << "per-hop dispatch allocated";
-#else
-  (void)before;
-  (void)after;
-#endif
-}
-
-TEST(AllocHook, ShardedPoolStatsSumAndSteadyState) {
-  // Three shards over the 3x3 grid (rows as groups). The facade pool
-  // gauges must be the exact sum of the per-shard pools at every
-  // checkpoint, and the sharded steady state — window loop, SPSC cross
-  // queues, drain sort, deliver_at closures — must allocate nothing once
-  // the slabs and queue capacities have reached their peaks.
-  net::Graph graph = testing::grid3x3();
-  const ShardPlan plan = build_shard_plan({0, 0, 0, 1, 1, 1, 2, 2, 2}, 3);
-  ShardedSimNetwork network(graph, plan);
-  std::uint64_t received = 0;
-  for (NodeId n = 0; n < graph.node_count(); ++n) {
-    network.set_handler(
-        n, [&received](NodeId, const Message&) { ++received; });
-  }
-
-  auto expect_pool_sums = [&] {
-    Simulator::PoolStats sim_sum{};
-    SimNetwork::PoolStats env_sum{};
-    for (int s = 0; s < network.shard_count(); ++s) {
-      const auto ss = network.simulator(s).pool_stats();
-      sim_sum.slots += ss.slots;
-      sim_sum.free_slots += ss.free_slots;
-      sim_sum.heap_actions += ss.heap_actions;
-      const auto es = network.network(s).pool_stats();
-      env_sum.envelopes += es.envelopes;
-      env_sum.free += es.free;
-    }
-    const auto facade_sim = network.sim().pool_stats();
-    EXPECT_EQ(facade_sim.slots, sim_sum.slots);
-    EXPECT_EQ(facade_sim.free_slots, sim_sum.free_slots);
-    EXPECT_EQ(facade_sim.heap_actions, sim_sum.heap_actions);
-    const auto facade_env = network.pool_stats();
-    EXPECT_EQ(facade_env.envelopes, env_sum.envelopes);
-    EXPECT_EQ(facade_env.free, env_sum.free);
-  };
-
-  auto flood = [&](int rounds) {
-    for (int i = 0; i < rounds; ++i) {
-      network.send(0, 1, DataMsg{static_cast<std::uint64_t>(i)});  // local
-      network.send(2, 5, DataMsg{static_cast<std::uint64_t>(i)});  // cross
-      network.send(4, 7, DataMsg{static_cast<std::uint64_t>(i)});  // cross
-      network.broadcast(4, DataMsg{static_cast<std::uint64_t>(i)});
-      network.sim().run_all();
-    }
-  };
-  flood(500);
-  expect_pool_sums();
-  const auto warm_env = network.pool_stats();
-  const auto warm_sim = network.sim().pool_stats();
-
-  const std::uint64_t before = allocation_count();
-  flood(500);
-  const std::uint64_t after = allocation_count();
-
-  EXPECT_GT(received, 0u);
-  EXPECT_GT(network.cross_messages(), 0u);
-  expect_pool_sums();
-  EXPECT_EQ(network.pool_stats().envelopes, warm_env.envelopes)
-      << "sharded envelope slabs grew after warm-up";
-  EXPECT_EQ(network.sim().pool_stats().slots, warm_sim.slots);
-  EXPECT_EQ(network.sim().pool_stats().heap_actions, 0u)
-      << "a sharded dispatch closure overflowed the 64B SBO";
-#if SMRP_ALLOC_HOOK_ACTIVE
-  EXPECT_EQ(after - before, 0u) << "sharded steady state allocated";
 #else
   (void)before;
   (void)after;
